@@ -10,12 +10,11 @@ Seeds the service bench trajectory.  Three timed scenarios:
   only placement + execution remain;
 * ``mixed_burst``  — a 9-job burst over three benchmarks against a
   warm cache, exercising batching and slice packing.  Runs once per
-  registered execution engine (docs/execution.md): the ``vectorized``
-  row keeps the historical ``mixed_burst`` name, the
-  ``mixed_burst_reference`` row is the scalar baseline, and the
-  ``mixed_burst_specialized`` row replays the compiled plans — its
-  items/s must be >= 3x the vectorized row, and the printed
-  vectorized-vs-reference speedup must stay >= 5x;
+  execution engine (docs/execution.md): the ``mixed_burst`` row is the
+  default engine, which replays each program's compiled plan, and the
+  ``mixed_burst_reference`` row is the scalar baseline.  The printed
+  plan-vs-reference speedup must stay >= ``MIN_BURST_SPEEDUP`` (15x;
+  ``--check`` enforces it in the full run);
 * ``optimized_cold_submit`` / ``warm_burst_heuristic`` /
   ``warm_burst_optimized`` — the optimal-mapping tier behind the
   program cache (docs/optimizer.md): the one-off optimization cost on
@@ -82,12 +81,17 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.circuits.library import clear_cache
+from repro.freac.engine import DEFAULT_ENGINE
 from repro.params import scaled_system
 from repro.service import AcceleratorService
 from repro.telemetry import Telemetry
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 METRICS_OUT = OUT.with_name("BENCH_service_metrics.json")
+
+#: Least items/s ratio of the default-engine mixed burst over the
+#: reference-engine one.
+MIN_BURST_SPEEDUP = 15.0
 
 
 def _entry(name: str, items: int, wall_s: float,
@@ -138,7 +142,7 @@ def _burst_once(engine: str, jobs_per_benchmark: int,
     wall = time.perf_counter() - start
     stats = service.stats()
     total = items * len(jobs)
-    name = ("mixed_burst" if engine == "vectorized"
+    name = ("mixed_burst" if engine == DEFAULT_ENGINE
             else f"mixed_burst_{engine}")
     row = _entry(name, total, wall, stats.cache_hit_rate)
     row["engine"] = engine
@@ -150,24 +154,26 @@ def _burst_once(engine: str, jobs_per_benchmark: int,
     return row
 
 
-def bench_mixed_burst(jobs_per_benchmark: int = 3,
-                      items: int = 64) -> List[Dict[str, object]]:
+def bench_mixed_burst(jobs_per_benchmark: int = 3, items: int = 64,
+                      check: bool = False) -> List[Dict[str, object]]:
     # Same-benchmark jobs merge into one wave of
-    # jobs_per_benchmark * items, so the batch engines see batches deep
-    # enough for their fast paths to pay off (BENCH_executor.json has
-    # the per-batch crossover); the specialized engine additionally
-    # replays each program's compiled plan instead of re-interpreting
-    # the schedule per wave.
+    # jobs_per_benchmark * items, so the compiled plan runs batches
+    # deep enough for its advantage to grow (BENCH_executor.json has
+    # the per-batch sweep).
     rows = [
         _burst_once(engine, jobs_per_benchmark, items)
-        for engine in ("reference", "vectorized", "specialized")
+        for engine in ("reference", DEFAULT_ENGINE)
     ]
     by_engine = {row["engine"]: row for row in rows}
-    reference = by_engine["reference"]["items_per_s"]
-    for engine in ("vectorized", "specialized"):
-        speedup = by_engine[engine]["items_per_s"] / reference
-        print(f"mixed_burst engine speedup {speedup:6.1f}x "
-              f"({engine} vs reference items/s)")
+    speedup = (by_engine[DEFAULT_ENGINE]["items_per_s"]
+               / by_engine["reference"]["items_per_s"])
+    print(f"mixed_burst engine speedup {speedup:6.1f}x "
+          f"({DEFAULT_ENGINE} vs reference items/s)")
+    if check and speedup < MIN_BURST_SPEEDUP:
+        raise RuntimeError(
+            f"mixed_burst check failed: {DEFAULT_ENGINE} is {speedup:.1f}x "
+            f"reference, below {MIN_BURST_SPEEDUP:.0f}x"
+        )
     return rows
 
 
@@ -624,12 +630,13 @@ def main(argv: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
     parser.add_argument("--check", action="store_true",
                         help="assert the elastic row beats the "
                              "always-locked static row and bills its "
-                             "resizes (the CI gate)")
+                             "resizes (the CI gate); the full run also "
+                             "asserts the mixed-burst engine speedup")
     args = parser.parse_args(argv)
     if args.quick:
         return bench_elastic_burst(quick=True, check=args.check)
     rows = bench_cold_vs_warm()
-    rows += bench_mixed_burst()
+    rows += bench_mixed_burst(check=args.check)
     rows += bench_optimized_burst()
     rows += bench_worker_sweep()
     rows += bench_shard_sweep()

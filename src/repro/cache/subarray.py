@@ -60,7 +60,7 @@ class Subarray:
     def charge_reads(self, count: int) -> None:
         """Account ``count`` extra row reads without moving data.
 
-        The batch-vectorized engine performs one physical row access
+        The compiled-plan engine performs one physical row access
         for a whole batch but must charge the same traffic the
         hardware would see (one access per invocation).
         """
@@ -75,7 +75,7 @@ class Subarray:
         self.writes += count
 
     def gather_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized multi-row read; charges one access per row."""
+        """Batched multi-row read; charges one access per row."""
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self.rows):
             raise CacheError("gather exceeds sub-array bounds")

@@ -364,8 +364,8 @@ def main(argv: List[str] | None = None) -> int:
     from .freac.engine import DEFAULT_ENGINE, ENGINES
 
     runp.add_argument("--engine", choices=ENGINES, default=None,
-                      help="execution engine from the EngineSpec "
-                      f"registry (default: {DEFAULT_ENGINE})")
+                      help="execution engine: the compiled plan or the "
+                      f"reference loop (default: {DEFAULT_ENGINE})")
     runp.add_argument("--optimize", action="store_true",
                       help="run the fold-count-minimized program")
     runp.add_argument("--opt-budget-s", type=float, default=None,

@@ -12,17 +12,16 @@ from .mcc import MicroComputeCluster
 from .ccctrl import ComputeClusterController
 from .compute_slice import ReconfigurableComputeSlice, SlicePartition
 from .engine import (
-    BatchResult,
     DEFAULT_ENGINE,
     ENGINES,
+    Engine,
     EngineLike,
-    EngineSpec,
-    register_engine,
     resolve_engine,
     validate_engine,
 )
 from .executor import FoldedExecutor, ExecutionStats, StreamBinding
 from .specialize import (
+    BatchResult,
     SpecializationUnsupported,
     SpecializedPlan,
     build_plan,
@@ -46,15 +45,14 @@ __all__ = [
     "BatchResult",
     "DEFAULT_ENGINE",
     "ENGINES",
+    "Engine",
     "EngineLike",
-    "EngineSpec",
     "ExecutionSession",
     "SpecializationUnsupported",
     "SpecializedPlan",
     "build_plan",
     "plan_artifact",
     "plan_for",
-    "register_engine",
     "resolve_engine",
     "validate_engine",
     "FoldedLut",

@@ -395,21 +395,21 @@ class ComputeClusterController:
         goes to tile ``i % tiles`` — the data-parallel split the paper
         uses ("work is divided evenly across all available accelerator
         tiles", Sec. V).  Each tile's whole item set is handed to
-        :meth:`FoldedExecutor.run_batch` in one call, so the batch
-        engines (``specialized``/``vectorized``) execute each tile's
-        items in SoA lock-step.  ``engine`` is any
+        :meth:`FoldedExecutor.run_batch` in one call, so the
+        ``specialized`` engine runs each tile's items through one
+        compiled-plan pass.  ``engine`` is any
         :class:`~repro.freac.engine.EngineLike`; ``None`` picks the
-        registry default (docs/execution.md).
+        default (docs/execution.md).
         """
         if self.state is not ControllerState.CONFIGURED:
             raise ProtocolError("program the accelerator before running")
-        spec = resolve_engine(engine)
+        engine = resolve_engine(engine)
         tiles = len(self.executors)
         for tile, executor in enumerate(self.executors):
             indices = range(tile, items, tiles)
             if indices:
                 executor.run_batch(
-                    indices, scratchpad_map=scratchpad_map, engine=spec
+                    indices, scratchpad_map=scratchpad_map, engine=engine
                 )
         total = ExecutionStats()
         for executor in self.executors:

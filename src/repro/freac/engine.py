@@ -1,462 +1,69 @@
-"""Batch-vectorized execution of a folded schedule (SoA fast path).
+"""Execution engine names, resolved at the wire boundaries.
 
-The reference :meth:`~repro.freac.executor.FoldedExecutor.run` loop
-evaluates one batch item at a time in pure Python — faithful, but the
-simulator (not the modeled hardware) becomes the bottleneck.  The key
-structural fact (shared with DRAM-PIM LUT inference engines such as
-LOCALUT) is that the per-step LUT configuration row is *shared* by
-every in-flight item: at folding step *t* all invocations select
-through the same latched truth table.  Evaluation therefore
-vectorizes naturally over the batch axis:
+Two engines run a folded schedule (docs/execution.md):
 
-* every node's value is a ``(batch,)`` ``uint32`` numpy array
-  (structure-of-arrays layout);
-* each LUT slot unpacks its configuration row once per step and
-  gathers all lanes with ``np.take``;
-* the MAC evaluates once per step as masked 32-bit array arithmetic;
-* bus loads/stores become vectorized scratchpad gathers/scatters.
+* ``specialized`` *(default)* — the program's compiled execution plan
+  (:mod:`repro.freac.specialize`): fused per-level numpy passes over
+  the whole batch, because every in-flight item at a folding step reads
+  the same latched LUT configuration row;
+* ``reference`` — the scalar per-item loop
+  (:meth:`~repro.freac.executor.FoldedExecutor.run`), the ground truth
+  the plan must match bit for bit.
 
-Accounting stays **bit-for-bit identical** with the reference engine:
-one row read per invocation per LUT step, one reconfiguration per
-invocation, one scratchpad access per invocation per bus op, and the
-same segment-reload traffic a sequential item stream would generate —
-the physical work happens once, the charges are multiplied by the
-batch (see ``tests/freac/test_engine.py``).
-
-Telemetry counters keep reference totals; only *event* granularity
-differs: the vectorized engine emits one ``fold_step`` cycle event per
-step carrying an ``items`` attribute instead of one event per item per
-step (docs/execution.md).
+Runs the plan cannot represent (flip-flops, ragged streams, trace
+collection) degrade to the reference loop and are counted in
+``ExecutionStats.engine_fallbacks``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from enum import Enum
+from typing import Tuple, Union
 
-import numpy as np
-
-from ..circuits.netlist import NodeKind, WORD_MASK
-from ..errors import CircuitError, DeviceError
-from ..folding.schedule import OpSlot
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .executor import FoldedExecutor, StreamBinding
+from ..errors import DeviceError
 
 
-@dataclass(frozen=True)
-class EngineSpec:
-    """One registered execution engine (docs/execution.md).
+class Engine(str, Enum):
+    """An execution engine; a ``str``, so it compares, pickles and
+    serialises as its name."""
 
-    The engine choice used to be a bare string threaded through every
-    layer; it is now a first-class registry entry.  ``fallback`` names
-    the engine a run silently degrades to when this one cannot
-    represent it (sequential netlists, ragged streams, trace
-    collection) — each such degradation is counted in
-    ``ExecutionStats.engine_fallbacks``.
-    """
-
-    name: str
-    description: str
-    fallback: Optional[str] = None
+    specialized = "specialized"
+    reference = "reference"
 
     def __str__(self) -> str:
-        return self.name
+        return self.value
 
 
-_ENGINE_REGISTRY: Dict[str, EngineSpec] = {}
+#: Engine selector values accepted throughout the stack (the default
+#: first).
+ENGINES: Tuple[str, ...] = tuple(engine.value for engine in Engine)
+DEFAULT_ENGINE = Engine.specialized.value
 
-
-def register_engine(spec: EngineSpec) -> EngineSpec:
-    """Add an engine to the registry (idempotent for equal specs)."""
-    existing = _ENGINE_REGISTRY.get(spec.name)
-    if existing is not None and existing != spec:
-        raise DeviceError(f"engine {spec.name!r} already registered")
-    _ENGINE_REGISTRY[spec.name] = spec
-    return spec
-
-
-register_engine(EngineSpec(
-    "vectorized",
-    "SoA lock-step over the batch axis, interpreting the schedule "
-    "step by step",
-    fallback="reference",
-))
-register_engine(EngineSpec(
-    "reference",
-    "scalar per-item loop; the ground truth every other engine must "
-    "match bit for bit",
-))
-register_engine(EngineSpec(
-    "specialized",
-    "per-program compiled execution plan (repro.freac.specialize): "
-    "fused per-pass numpy ops with zero per-step Python dispatch",
-    fallback="reference",
-))
-
-#: Engine selector values accepted throughout the stack, in
-#: registration order (the default first).
-ENGINES: Tuple[str, ...] = tuple(_ENGINE_REGISTRY)
-DEFAULT_ENGINE = "vectorized"
-
-#: Anything the engine boundary accepts: a spec, a registered name,
+#: Anything the engine boundary accepts: an :class:`Engine`, its name,
 #: or None (meaning "the default").
-EngineLike = Union[EngineSpec, str, None]
+EngineLike = Union[Engine, str, None]
 
 
-def resolve_engine(engine: EngineLike = None) -> EngineSpec:
-    """Normalize ``engine`` to a registered :class:`EngineSpec`.
+def resolve_engine(engine: EngineLike = None) -> Engine:
+    """Normalize ``engine`` to an :class:`Engine`.
 
-    This is the single deprecation path for stringly engine selection:
-    bare names remain accepted at every boundary (CLI flags, serve
-    request lines, ``RunRequest``/``JobSpec`` fields) and resolve here;
-    internal layers pass specs.
+    Bare names are accepted at every boundary (CLI flags, serve request
+    lines, ``RunRequest``/``JobSpec`` fields) and resolve here.
     """
     if engine is None:
-        return _ENGINE_REGISTRY[DEFAULT_ENGINE]
-    if isinstance(engine, EngineSpec):
-        registered = _ENGINE_REGISTRY.get(engine.name)
-        if registered is None:
-            raise DeviceError(
-                f"unknown execution engine {engine.name!r}; pick one of "
-                f"{ENGINES}"
-            )
-        return engine
-    if isinstance(engine, str):
-        spec = _ENGINE_REGISTRY.get(engine)
-        if spec is None:
-            raise DeviceError(
-                f"unknown execution engine {engine!r}; pick one of {ENGINES}"
-            )
-        return spec
-    raise DeviceError(
-        f"engine must be an EngineSpec or a name, not {type(engine).__name__}"
-    )
+        return Engine(DEFAULT_ENGINE)
+    if not isinstance(engine, str):
+        raise DeviceError(
+            f"engine must be an Engine or a name, not {type(engine).__name__}"
+        )
+    try:
+        return Engine(engine)
+    except ValueError:
+        raise DeviceError(
+            f"unknown execution engine {engine!r}; pick one of {ENGINES}"
+        ) from None
 
 
 def validate_engine(engine: EngineLike) -> str:
-    """Legacy string boundary: resolve and hand back the canonical name."""
-    return resolve_engine(engine).name
-
-
-class VectorizationUnsupported(Exception):
-    """Raised *before any state mutation* when the SoA fast path cannot
-    represent a run; the caller falls back to the reference engine."""
-
-
-@dataclass
-class BatchResult:
-    """Results of one batched run, item-major.
-
-    ``outputs[name]`` is a ``(items,)`` array, ``stores[stream]`` an
-    ``(items, words)`` array; :meth:`item` recovers the plain-int view
-    a scalar :class:`~repro.freac.executor.InvocationResult` gives.
-    """
-
-    items: int
-    engine: str
-    outputs: Dict[str, np.ndarray] = field(default_factory=dict)
-    stores: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: Per-lane TraceEvent lists; only the reference engine fills this
-    #: (trace collection forces the scalar fallback).
-    traces: List[list] = field(default_factory=list)
-
-    def item_outputs(self, item: int) -> Dict[str, int]:
-        return {name: int(col[item]) for name, col in self.outputs.items()}
-
-    def item_stores(self, item: int) -> Dict[str, List[int]]:
-        return {
-            stream: [int(word) for word in rows[item]]
-            for stream, rows in self.stores.items()
-        }
-
-
-def _as_item_major(
-    streams: Mapping[str, Sequence[Sequence[int]]], batch: int
-) -> Dict[str, np.ndarray]:
-    """Convert per-item stream data to ``(batch, words)`` arrays."""
-    arrays: Dict[str, np.ndarray] = {}
-    for stream, data in streams.items():
-        try:
-            arr = np.asarray(data, dtype=np.uint64)
-        except (TypeError, ValueError) as exc:
-            raise VectorizationUnsupported(
-                f"stream {stream!r} is not rectangular: {exc}"
-            ) from None
-        if arr.ndim != 2 or arr.shape[0] != batch:
-            raise VectorizationUnsupported(
-                f"stream {stream!r} has shape {arr.shape}, expected "
-                f"({batch}, words)"
-            )
-        arrays[stream] = (arr & np.uint64(WORD_MASK)).astype(np.uint32)
-    return arrays
-
-
-def _as_lane_bindings(
-    bindings: Mapping[str, object], batch: int
-) -> Dict[str, np.ndarray]:
-    lanes: Dict[str, np.ndarray] = {}
-    for name, value in bindings.items():
-        if isinstance(value, (int, np.integer)):
-            lanes[name] = np.full(batch, int(value) & WORD_MASK,
-                                  dtype=np.uint32)
-        else:
-            arr = np.asarray(value, dtype=np.uint64)
-            if arr.shape != (batch,):
-                raise VectorizationUnsupported(
-                    f"binding {name!r} has shape {arr.shape}, expected "
-                    f"({batch},)"
-                )
-            lanes[name] = (arr & np.uint64(WORD_MASK)).astype(np.uint32)
-    return lanes
-
-
-def _segment_window(executor: "FoldedExecutor", segment: int):
-    start = segment * executor._rows
-    end = min(start + executor._rows, executor.config.cycles)
-    return start, end
-
-
-def _charge_segment(executor: "FoldedExecutor", segment: int,
-                    times: int) -> None:
-    """Charge ``times`` logical loads of ``segment`` without moving data.
-
-    The reference engine re-streams the configuration window once per
-    item; the vectorized engine loads it physically once and adds the
-    remaining items' traffic here so every counter — executor stats,
-    per-sub-array writes, telemetry — matches bit for bit.
-    """
-    if times <= 0:
-        return
-    start, end = _segment_window(executor, segment)
-    rows = end - start
-    words = 0
-    for mcc_index, mcc in enumerate(executor.tile):
-        for unit, _column in enumerate(executor.config.lut_words[mcc_index]):
-            mcc.subarrays[unit].charge_writes(rows * times)
-            words += rows
-    total = words * times
-    executor.stats.config_words_loaded += total
-    if segment > 0:
-        executor.stats.config_reloads += times
-    telemetry = executor.telemetry
-    if telemetry.enabled and total:
-        telemetry.counter(
-            "freac.config_words_written",
-            "configuration words streamed into compute sub-arrays",
-        ).inc(total, tile=executor.trace_track)
-        if segment > 0:
-            telemetry.counter(
-                "freac.reconfig_events",
-                "mid-run configuration segment reloads",
-            ).inc(times, tile=executor.trace_track)
-            telemetry.counter(
-                "freac.stall_cycles",
-                "cycles stalled waiting on configuration reloads",
-            ).inc(times * (words // max(len(executor.tile), 1)),
-                  tile=executor.trace_track)
-
-
-def run_batch_vectorized(
-    executor: "FoldedExecutor",
-    item_indices: Sequence[int],
-    *,
-    streams: Optional[Mapping[str, Sequence[Sequence[int]]]] = None,
-    bindings: Optional[Mapping[str, object]] = None,
-    scratchpad_map: Optional[Mapping[str, "StreamBinding"]] = None,
-) -> BatchResult:
-    """Execute every item of a batch in SoA lock-step.
-
-    ``item_indices`` carries the *global* item numbers (they determine
-    scratchpad addresses); position in the sequence is the lane.
-    Raises :class:`VectorizationUnsupported` before touching any state
-    when the run cannot be vectorized (sequential netlists, ragged
-    host streams) so the caller can fall back to the reference loop.
-    """
-    if executor._loaded_segment < 0:
-        raise DeviceError("load the configuration before running")
-    if scratchpad_map and executor.scratchpad is None:
-        raise DeviceError("scratchpad bindings given but no scratchpad")
-    netlist = executor.schedule.netlist
-    if netlist.flipflops():
-        # Flip-flop state threads sequentially from item to item; the
-        # lock-step lanes would break that ordering.
-        raise VectorizationUnsupported("sequential netlist (flip-flops)")
-    indices = np.asarray(list(item_indices), dtype=np.int64)
-    batch = int(indices.size)
-    # --- plan phase: convert inputs; nothing is mutated on failure ---
-    stream_arrays = _as_item_major(streams or {}, batch)
-    lane_bindings = _as_lane_bindings(bindings or {}, batch)
-    scratchpad_map = dict(scratchpad_map or {})
-    if batch == 0:
-        return BatchResult(items=0, engine="vectorized")
-
-    stats = executor.stats
-    tile = executor.tile
-    scratchpad = executor.scratchpad
-    telemetry = executor.telemetry
-    emit = telemetry.enabled
-    track = executor.trace_track
-    base_cycle = stats.cycles
-    total_cycles = executor.schedule.compute_cycles
-    segments = executor.segments
-    rows = executor._rows
-
-    # Segment-0 rewind accounting: in the reference engine every item
-    # whose run starts with a different segment loaded re-streams the
-    # first window.  Item 1 rewinds iff something later is loaded now;
-    # items 2..B rewind iff the schedule is segmented at all.
-    rewinds = (1 if executor._loaded_segment != 0 else 0)
-    rewinds += batch - 1 if segments > 1 else 0
-    if executor._loaded_segment != 0:
-        executor.load_segment(0)
-        rewinds -= 1
-    _charge_segment(executor, 0, rewinds)
-
-    values: Dict[int, np.ndarray] = {}
-    store_streams: Dict[str, Dict[int, np.ndarray]] = {}
-
-    def value_of(nid: int) -> np.ndarray:
-        """Vector resolve through wiring nodes (crossbar routing)."""
-        cached = values.get(nid)
-        if cached is not None:
-            return cached
-        node = netlist.nodes[nid]
-        kind = node.kind
-        if kind is NodeKind.CONST:
-            result = np.full(batch, node.payload, dtype=np.uint32)
-        elif kind is NodeKind.WORD_CONST:
-            result = np.full(batch, node.payload & WORD_MASK,  # type: ignore[operator]
-                             dtype=np.uint32)
-        elif kind is NodeKind.BIT_INPUT or kind is NodeKind.WORD_INPUT:
-            name = node.payload
-            if name not in lane_bindings:
-                raise CircuitError(f"missing binding for input {name!r}")
-            mask = 1 if kind is NodeKind.BIT_INPUT else WORD_MASK
-            result = lane_bindings[name] & np.uint32(mask)
-        elif kind is NodeKind.BITSLICE:
-            position: int = node.payload  # type: ignore[assignment]
-            result = (value_of(node.fanins[0]) >> np.uint32(position)) \
-                & np.uint32(1)
-        elif kind is NodeKind.PACK:
-            result = np.zeros(batch, dtype=np.uint32)
-            for position, fanin in enumerate(node.fanins):
-                result |= (value_of(fanin) & np.uint32(1)) \
-                    << np.uint32(position)
-        else:
-            raise DeviceError(
-                f"op node {nid} ({kind.value}) read before its cycle — "
-                "the schedule is not dependence-correct"
-            )
-        values[nid] = result
-        return result
-
-    for cycle in range(1, total_cycles + 1):
-        segment = (cycle - 1) // rows
-        if segment != executor._loaded_segment:
-            executor.load_segment(segment)
-            _charge_segment(executor, segment, batch - 1)
-            if emit:
-                telemetry.cycle_event(
-                    "reconfig", base_cycle + cycle - 1, track=track,
-                    segment=segment, items=batch,
-                )
-        local_cycle = (cycle - 1) % rows + 1
-        ops = executor._ops_by_cycle.get(cycle, ())
-        if emit:
-            telemetry.cycle_event(
-                "fold_step", base_cycle + cycle - 1, track=track,
-                ops=len(ops), items=batch,
-            )
-        for op in ops:  # deterministic order, as in the reference loop
-            node = netlist.nodes[op.nid]
-            mcc = tile[op.mcc]
-            if op.slot is OpSlot.LUT:
-                bits = [value_of(f) for f in node.fanins]
-                result = mcc.evaluate_lut_batch(
-                    op.unit, local_cycle, bits, batch
-                )
-                values[op.nid] = result
-                mcc.registers.write(op.nid, int(result[0]), 1)
-                stats.lut_evaluations += batch
-            elif op.slot is OpSlot.MAC:
-                a, b, acc = (value_of(f) for f in node.fanins)
-                result = mcc.mac.mac_batch(a, b, acc)
-                values[op.nid] = result
-                mcc.registers.write(op.nid, int(result[0]), 32)
-                stats.mac_operations += batch
-            elif node.kind is NodeKind.BUS_LOAD:
-                stream, index = node.payload  # type: ignore[misc]
-                if stream in scratchpad_map:
-                    binding = scratchpad_map[stream]
-                    assert scratchpad is not None
-                    addresses = (binding.base_word + index
-                                 + indices * binding.words_per_item)
-                    values[op.nid] = scratchpad.read_words_batch(addresses)
-                elif stream in stream_arrays:
-                    data = stream_arrays[stream]
-                    if index >= data.shape[1]:
-                        raise CircuitError(
-                            f"stream {stream!r} exhausted at {index}"
-                        )
-                    values[op.nid] = data[:, index]
-                else:
-                    raise CircuitError(
-                        f"no source for load stream {stream!r}"
-                    )
-                stats.bus_loads += batch
-            else:  # BUS_STORE
-                stream, index = node.payload  # type: ignore[misc]
-                word = value_of(node.fanins[0])
-                if stream in scratchpad_map:
-                    binding = scratchpad_map[stream]
-                    assert scratchpad is not None
-                    addresses = (binding.base_word + index
-                                 + indices * binding.words_per_item)
-                    scratchpad.write_words_batch(addresses, word)
-                store_streams.setdefault(stream, {})[index] = word
-                values[op.nid] = word
-                stats.bus_stores += batch
-
-    stats.cycles += executor.schedule.fold_cycles * batch
-    stats.invocations += batch
-    if emit:
-        telemetry.counter(
-            "freac.invocations", "accelerator invocations executed"
-        ).inc(batch, tile=track)
-        telemetry.counter(
-            "freac.folding_steps", "folding cycles executed"
-        ).inc(total_cycles * batch, tile=track)
-        telemetry.counter(
-            "freac.rows_read",
-            "configuration rows read from compute sub-arrays",
-        ).inc(
-            total_cycles * len(tile)
-            * executor.schedule.resources.luts_per_mcc * batch,
-            tile=track,
-        )
-
-    outputs = {
-        name: value_of(nid).copy()
-        for name, nid in netlist.outputs.items()
-    }
-    for mcc in tile:
-        mcc.registers.clear()
-    stores = {
-        stream: np.stack(
-            [by_index[i] for i in sorted(by_index)], axis=1
-        )
-        for stream, by_index in store_streams.items()
-    }
-    return BatchResult(
-        items=batch, engine="vectorized", outputs=outputs, stores=stores
-    )
+    """String boundary: resolve and hand back the canonical name."""
+    return resolve_engine(engine).value

@@ -31,15 +31,14 @@ from ..folding.config import ConfigImage, generate_config
 from ..folding.schedule import FoldingSchedule, OpSlot
 from ..telemetry import Telemetry
 from ..telemetry.core import resolve
-from .engine import (
-    BatchResult,
-    EngineLike,
-    VectorizationUnsupported,
-    resolve_engine,
-    run_batch_vectorized,
-)
+from .engine import Engine, EngineLike, resolve_engine
 from .mcc import MicroComputeCluster
 from .scratchpad import Scratchpad
+from .specialize import (
+    BatchResult,
+    SpecializationUnsupported,
+    run_batch_specialized,
+)
 
 
 @dataclass(frozen=True)
@@ -78,9 +77,9 @@ class ExecutionStats:
     bus_stores: int = 0
     config_words_loaded: int = 0
     config_reloads: int = 0
-    #: Runs where the requested engine could not represent the batch
+    #: Runs where the compiled plan could not represent the batch
     #: (sequential netlist, ragged streams, trace collection) and the
-    #: executor degraded to the engine's registered fallback.
+    #: executor degraded to the reference loop.
     engine_fallbacks: int = 0
 
     @property
@@ -90,7 +89,7 @@ class ExecutionStats:
     def as_dict(self) -> Dict[str, int]:
         """A detached plain-``int`` snapshot of the counters.
 
-        Bulk charges on the vectorized path may carry numpy integer
+        Bulk charges on the compiled-plan path may carry numpy integer
         types; coercing here guarantees the dict is JSON-serialisable
         and shares no mutable state with the live counters, so two
         engines (or two snapshots) can never alias each other.
@@ -402,48 +401,29 @@ class FoldedExecutor:
         is lane *lane*'s word list; ``bindings`` values may be scalars
         (broadcast) or per-lane sequences.
 
-        ``engine`` is an :class:`~repro.freac.engine.EngineSpec` or a
-        registered name (``None`` means the default).  ``specialized``
-        runs the program's compiled execution plan
-        (:mod:`repro.freac.specialize`); ``vectorized`` runs all lanes
-        in SoA lock-step (:mod:`repro.freac.engine`).  Both fall back
-        to the reference loop for runs they cannot represent
-        (sequential netlists, ragged streams, trace collection) —
-        counted in ``stats.engine_fallbacks``.  Results and every
-        counter are bit-for-bit identical between engines.
+        ``engine`` is an :class:`~repro.freac.engine.Engine` or its
+        name (``None`` means the default).  ``specialized`` runs the
+        program's compiled execution plan (:mod:`repro.freac.specialize`)
+        and falls back to the reference loop for runs the plan cannot
+        represent (sequential netlists, ragged streams, trace
+        collection) — counted in ``stats.engine_fallbacks``.  Results
+        and every counter are bit-for-bit identical between engines.
         """
-        spec = resolve_engine(engine)
         if isinstance(items, (int, np.integer)):
             indices: List[int] = list(range(int(items)))
         else:
             indices = [int(i) for i in items]
-        if spec.name != "reference":
+        if resolve_engine(engine) is Engine.specialized:
             if not collect_trace:
                 try:
-                    if spec.name == "specialized":
-                        from .specialize import (
-                            SpecializationUnsupported,
-                            run_batch_specialized,
-                        )
-
-                        try:
-                            return run_batch_specialized(
-                                self,
-                                indices,
-                                streams=streams,
-                                bindings=bindings,
-                                scratchpad_map=scratchpad_map,
-                            )
-                        except SpecializationUnsupported:
-                            raise VectorizationUnsupported from None
-                    return run_batch_vectorized(
+                    return run_batch_specialized(
                         self,
                         indices,
                         streams=streams,
                         bindings=bindings,
                         scratchpad_map=scratchpad_map,
                     )
-                except VectorizationUnsupported:
+                except SpecializationUnsupported:
                     pass
             self.stats.engine_fallbacks += 1
         return self._run_batch_reference(

@@ -35,20 +35,6 @@ class MacUnit:
         self.operations += 1
         return (a * b + acc) & self.MASK
 
-    def mac_batch(self, a: np.ndarray, b: np.ndarray,
-                  acc: np.ndarray) -> np.ndarray:
-        """Masked 32-bit multiply-accumulate across a whole batch.
-
-        uint32 arithmetic wraps modulo 2^32, which is exactly the
-        ``& MASK`` of the scalar path; one operation is charged per
-        lane (the hardware fires once per invocation).
-        """
-        a = np.asarray(a, dtype=np.uint32)
-        b = np.asarray(b, dtype=np.uint32)
-        acc = np.asarray(acc, dtype=np.uint32)
-        self.operations += int(a.shape[0])
-        return a * b + acc
-
 
 class RegisterBank:
     """The 256-bit intermediate-value flip-flop bank.
@@ -158,26 +144,6 @@ class MicroComputeCluster:
         lut = self.luts[unit]
         lut.reconfigure(config)
         return lut.evaluate(list(input_bits))
-
-    def evaluate_lut_batch(self, unit: int, cycle: int,
-                           input_bits: Sequence[np.ndarray],
-                           batch: int) -> np.ndarray:
-        """One folding step of one LUT across a whole batch.
-
-        The configuration row is physically fetched once (the table is
-        shared by every in-flight item at this step), but each
-        invocation's row read and reconfiguration are still charged so
-        the accounting matches ``batch`` scalar :meth:`evaluate_lut`
-        calls bit for bit.
-        """
-        if not 0 <= unit < len(self.luts):
-            raise DeviceError(f"LUT unit {unit} out of range")
-        config = self.fetch_lut_config(unit, cycle)
-        self.subarrays[self._unit_subarray(unit)].charge_reads(batch - 1)
-        lut = self.luts[unit]
-        lut.reconfigure(config)
-        lut.reconfigurations += batch - 1
-        return lut.evaluate_batch(input_bits, batch)
 
     @property
     def subarray_reads(self) -> int:

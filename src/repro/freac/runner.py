@@ -180,8 +180,9 @@ def execute_on_controllers(
 
     Fills and readbacks are issued as one bulk scratchpad transfer per
     stream per slice, and the run itself goes through the batched
-    controller entry point, so with ``engine="vectorized"`` the whole
-    batch executes in SoA lock-step (docs/execution.md).
+    controller entry point, so with the default ``specialized`` engine
+    each tile's items run through the compiled plan in one pass
+    (docs/execution.md).
     """
     if not controllers:
         raise DeviceError("no controllers to execute on")

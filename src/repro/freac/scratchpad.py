@@ -72,11 +72,11 @@ class Scratchpad:
         subarray.write_row(row, value & 0xFFFFFFFF)
 
     # ------------------------------------------------------------------
-    # Batched (vectorized) access — docs/execution.md
+    # Batched access (compiled plans, host fills) — docs/execution.md
     # ------------------------------------------------------------------
 
     def _route_batch(self, addresses: np.ndarray):
-        """Vectorized :meth:`_route`: (subarray-group key, row) arrays."""
+        """Batched :meth:`_route`: (subarray-group key, row) arrays."""
         addresses = np.asarray(addresses, dtype=np.int64)
         if addresses.size and (
             addresses.min() < 0 or addresses.max() >= self.words
@@ -131,7 +131,7 @@ class Scratchpad:
     def fill_words(self, start_word: int, values: Sequence[int]) -> None:
         """Host initialisation path: store a run of words.
 
-        Implemented as one vectorized scatter; the accounting is the
+        Implemented as one batched scatter; the accounting is the
         word-at-a-time model's (one write per word).
         """
         data = np.asarray(list(values), dtype=np.uint64)

@@ -12,9 +12,9 @@ session object owns that lifecycle instead:
     # ways are unlocked here, even if execute() raised
 
 It pins the slice indices it claimed, the telemetry sink, and the
-execution engine choice — an :class:`~repro.freac.engine.EngineSpec`
-resolved once from whatever the caller passed (a spec, a bare string
-like ``"specialized"``, or ``None`` for the default; see
+execution engine choice — an :class:`~repro.freac.engine.Engine`
+resolved once from whatever the caller passed (an ``Engine``, a bare
+string like ``"reference"``, or ``None`` for the default; see
 docs/execution.md) — so the runner and the serving layer are thin
 callers.  It is the **only** lifecycle API: the old
 ``FreacDevice.setup/program/teardown`` delegates have been removed.
@@ -36,7 +36,7 @@ from .ccctrl import (
 )
 from .compute_slice import SlicePartition
 from .device import AcceleratorProgram, FreacDevice
-from .engine import EngineLike, EngineSpec, resolve_engine
+from .engine import Engine, EngineLike, resolve_engine
 from .executor import StreamBinding
 
 
@@ -63,7 +63,7 @@ class ExecutionSession:
         self.partition = partition or SlicePartition(
             compute_ways=4, scratchpad_ways=4
         )
-        self.engine: EngineSpec = resolve_engine(engine)
+        self.engine: Engine = resolve_engine(engine)
         if telemetry is not None:
             device.set_telemetry(telemetry)
         self.telemetry = device.telemetry

@@ -1,12 +1,14 @@
 """Per-program compiled execution plans (the ``specialized`` engine).
 
-The vectorized engine (:mod:`repro.freac.engine`) removed the per-item
-loop but still *interprets* the folding schedule: every folding step
-dispatches per-op Python (``value_of`` resolution, ``evaluate_lut_batch``
-calls, per-op counter bumps).  At batch 1 that interpreter overhead
-makes it slower than the plain reference loop.
+The reference loop (:meth:`~repro.freac.executor.FoldedExecutor.run`)
+evaluates one batch item at a time in pure Python, walking the
+schedule op by op.  The key structural fact (shared with DRAM-PIM LUT
+inference engines such as LOCALUT) is that the per-step LUT
+configuration row is *shared* by every in-flight item: at folding step
+*t* all invocations select through the same latched truth table.  So
+the whole batch can be evaluated at once, and every per-op decision can
+be made once, at **program-build time**.
 
-This module moves all of that work to **program-build time**.
 :func:`build_plan` flattens a :class:`~repro.folding.schedule.FoldingSchedule`
 into a :class:`SpecializedPlan`:
 
@@ -31,14 +33,16 @@ into a :class:`SpecializedPlan`:
 ``run_batch_specialized`` is therefore a short sequence of numpy ops
 with zero per-step Python dispatch, bit-exact with the reference loop:
 outputs, stores, AND every access counter, including segment-reload
-and rewind-to-segment-0 charging (which reuses the vectorized engine's
-``_charge_segment`` bookkeeping verbatim).
+and rewind-to-segment-0 charging (:func:`_charge_segment`).  With
+telemetry enabled it emits the reference loop's ``fold_step`` and
+``reconfig`` cycle events once per folding cycle, each carrying an
+``items`` attribute, instead of once per item per cycle.
 
-Unsupported netlists (flip-flops: their state threads sequentially
-from item to item) raise :class:`SpecializationUnsupported` before any
-state is mutated; the executor falls back per-program to the reference
-engine and counts the degradation in
-``ExecutionStats.engine_fallbacks``.
+Unsupported runs (flip-flops: their state threads sequentially from
+item to item; ragged host streams) raise
+:class:`SpecializationUnsupported` before any state is mutated; the
+executor falls back to the reference engine and counts the degradation
+in ``ExecutionStats.engine_fallbacks``.
 
 Ordering caveat: loads and stores are serialized *per stream name*
 (a load observes every earlier store to the same stream, and stores to
@@ -72,12 +76,6 @@ import numpy as np
 from ..circuits.netlist import NodeKind, WORD_MASK
 from ..errors import CircuitError, DeviceError
 from ..folding.schedule import FoldingSchedule, OpSlot
-from .engine import (
-    BatchResult,
-    _as_item_major,
-    _as_lane_bindings,
-    _charge_segment,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .executor import FoldedExecutor, StreamBinding
@@ -85,8 +83,116 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 class SpecializationUnsupported(Exception):
     """Raised *before any state mutation* when a netlist cannot be
-    compiled to (or run through) a specialized plan; the caller falls
-    back to the reference engine."""
+    compiled to (or a batch run through) a specialized plan; the caller
+    falls back to the reference engine."""
+
+
+@dataclass
+class BatchResult:
+    """Results of one batched run, item-major.
+
+    ``outputs[name]`` is a ``(items,)`` array, ``stores[stream]`` an
+    ``(items, words)`` array; :meth:`item_outputs`/:meth:`item_stores`
+    recover the plain-int view a scalar
+    :class:`~repro.freac.executor.InvocationResult` gives.
+    """
+
+    items: int
+    engine: str
+    outputs: Dict[str, np.ndarray] = field(default_factory=dict)
+    stores: Dict[str, np.ndarray] = field(default_factory=dict)
+    #: Per-lane TraceEvent lists; only the reference engine fills this
+    #: (trace collection forces the scalar fallback).
+    traces: List[list] = field(default_factory=list)
+
+    def item_outputs(self, item: int) -> Dict[str, int]:
+        return {name: int(col[item]) for name, col in self.outputs.items()}
+
+    def item_stores(self, item: int) -> Dict[str, List[int]]:
+        return {
+            stream: [int(word) for word in rows[item]]
+            for stream, rows in self.stores.items()
+        }
+
+
+def _as_item_major(
+    streams: Mapping[str, Sequence[Sequence[int]]], batch: int
+) -> Dict[str, np.ndarray]:
+    """Convert per-item stream data to ``(batch, words)`` arrays."""
+    arrays: Dict[str, np.ndarray] = {}
+    for stream, data in streams.items():
+        try:
+            arr = np.asarray(data, dtype=np.uint64)
+        except (TypeError, ValueError) as exc:
+            raise SpecializationUnsupported(
+                f"stream {stream!r} is not rectangular: {exc}"
+            ) from None
+        if arr.ndim != 2 or arr.shape[0] != batch:
+            raise SpecializationUnsupported(
+                f"stream {stream!r} has shape {arr.shape}, expected "
+                f"({batch}, words)"
+            )
+        arrays[stream] = (arr & np.uint64(WORD_MASK)).astype(np.uint32)
+    return arrays
+
+
+def _as_lane_bindings(
+    bindings: Mapping[str, object], batch: int
+) -> Dict[str, np.ndarray]:
+    lanes: Dict[str, np.ndarray] = {}
+    for name, value in bindings.items():
+        if isinstance(value, (int, np.integer)):
+            lanes[name] = np.full(batch, int(value) & WORD_MASK,
+                                  dtype=np.uint32)
+        else:
+            arr = np.asarray(value, dtype=np.uint64)
+            if arr.shape != (batch,):
+                raise SpecializationUnsupported(
+                    f"binding {name!r} has shape {arr.shape}, expected "
+                    f"({batch},)"
+                )
+            lanes[name] = (arr & np.uint64(WORD_MASK)).astype(np.uint32)
+    return lanes
+
+
+def _charge_segment(executor: "FoldedExecutor", segment: int,
+                    times: int) -> None:
+    """Charge ``times`` logical loads of ``segment`` without moving data.
+
+    The reference engine re-streams the configuration window once per
+    item; the plan loads it physically once and adds the remaining
+    items' traffic here so every counter — executor stats, per-sub-array
+    writes, telemetry — matches bit for bit.
+    """
+    if times <= 0:
+        return
+    start = segment * executor._rows
+    rows = min(start + executor._rows, executor.config.cycles) - start
+    words = 0
+    for mcc_index, mcc in enumerate(executor.tile):
+        for unit, _column in enumerate(executor.config.lut_words[mcc_index]):
+            mcc.subarrays[unit].charge_writes(rows * times)
+            words += rows
+    total = words * times
+    executor.stats.config_words_loaded += total
+    if segment > 0:
+        executor.stats.config_reloads += times
+    telemetry = executor.telemetry
+    if telemetry.enabled and total:
+        telemetry.counter(
+            "freac.config_words_written",
+            "configuration words streamed into compute sub-arrays",
+        ).inc(total, tile=executor.trace_track)
+        if segment > 0:
+            telemetry.counter(
+                "freac.reconfig_events",
+                "mid-run configuration segment reloads",
+            ).inc(times, tile=executor.trace_track)
+            telemetry.counter(
+                "freac.stall_cycles",
+                "cycles stalled waiting on configuration reloads",
+            ).inc(times * (words // max(len(executor.tile), 1)),
+                  tile=executor.trace_track)
 
 
 #: Value-table row 0 is a constant zero every pass may read (padding
@@ -212,6 +318,9 @@ class SpecializedPlan:
     bus_stores: int = 0
     depth: int = 0
     instructions: int = 0
+    #: Ops per folding cycle, for the per-cycle ``fold_step`` trace
+    #: events (telemetry only; not part of the digest).
+    cycle_ops: Tuple[int, ...] = ()
     _digest: Optional[str] = field(default=None, repr=False)
 
     @property
@@ -271,6 +380,7 @@ class _PlanBuilder:
         self.producer: Dict[int, int] = {}      # slot -> instr index
         self.last_store: Dict[str, int] = {}
         self.readers: Dict[str, List[int]] = {}
+        self.cycle_ops: Tuple[int, ...] = ()
 
     # -- slots ---------------------------------------------------------
 
@@ -367,7 +477,9 @@ class _PlanBuilder:
         ops_by_cycle: Dict[int, List] = {}
         for op in self.schedule.ops:
             ops_by_cycle.setdefault(op.cycle, []).append(op)
-        for cycle in range(1, self.schedule.compute_cycles + 1):
+        cycles = range(1, self.schedule.compute_cycles + 1)
+        self.cycle_ops = tuple(len(ops_by_cycle.get(c, ())) for c in cycles)
+        for cycle in cycles:
             for op in ops_by_cycle.get(cycle, ()):
                 node = netlist.nodes[op.nid]
                 if op.slot is OpSlot.LUT:
@@ -508,6 +620,7 @@ class _PlanBuilder:
             bus_stores=totals["store"],
             depth=depth,
             instructions=len(self.instrs),
+            cycle_ops=self.cycle_ops,
         )
 
     @staticmethod
@@ -658,9 +771,10 @@ def run_batch_specialized(
 ) -> BatchResult:
     """Execute a batch through the executor's compiled plan.
 
-    Raises :class:`SpecializationUnsupported` (no plan for this
-    netlist) or :class:`~repro.freac.engine.VectorizationUnsupported`
-    (ragged inputs) before touching any state, so the caller can fall
+    ``item_indices`` carries the *global* item numbers (they determine
+    scratchpad addresses); position in the sequence is the lane.
+    Raises :class:`SpecializationUnsupported` (no plan for this netlist,
+    or ragged inputs) before touching any state, so the caller can fall
     back to the reference loop.
     """
     if executor._loaded_segment < 0:
@@ -689,9 +803,11 @@ def run_batch_specialized(
     segments = executor.segments
     rows = executor._rows
 
-    # Segment charging is identical to the vectorized engine: load each
-    # window physically once, charge the other batch items in bulk, and
-    # account the rewind to segment 0 (see run_batch_vectorized).
+    # Load each configuration window physically once and charge the
+    # other batch items in bulk.  The reference loop rewinds to segment
+    # 0 for every item whose run starts with a later segment loaded:
+    # item 1 iff something later is loaded now, items 2..B iff the
+    # schedule is segmented at all.
     rewinds = (1 if executor._loaded_segment != 0 else 0)
     rewinds += batch - 1 if segments > 1 else 0
     if executor._loaded_segment != 0:
@@ -701,10 +817,18 @@ def run_batch_specialized(
     for segment in range(1, segments):
         executor.load_segment(segment)
         _charge_segment(executor, segment, batch - 1)
-        if emit:
+    if emit:
+        # The reference loop's cycle events, once per folding cycle
+        # for the whole batch.
+        for offset, ops in enumerate(plan.cycle_ops):
+            if offset and offset % rows == 0:
+                telemetry.cycle_event(
+                    "reconfig", base_cycle + offset, track=track,
+                    segment=offset // rows, items=batch,
+                )
             telemetry.cycle_event(
-                "reconfig", base_cycle + segment * rows, track=track,
-                segment=segment, items=batch,
+                "fold_step", base_cycle + offset, track=track,
+                ops=ops, items=batch,
             )
 
     # --- the value table and the fused passes ------------------------
@@ -821,10 +945,6 @@ def run_batch_specialized(
             total_cycles * len(tile)
             * executor.schedule.resources.luts_per_mcc * batch,
             tile=track,
-        )
-        telemetry.cycle_event(
-            "plan_run", base_cycle, track=track,
-            passes=len(plan.passes), items=batch,
         )
 
     outputs = {}

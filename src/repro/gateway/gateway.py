@@ -49,7 +49,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ServiceError
 from ..service.jobs import JobResult, JobState
@@ -308,6 +308,10 @@ class Gateway:
             "shard_restarts": 0, "shards_evicted": 0,
         }
         self._restarts_used: Dict[int, int] = {}
+        #: shard id -> (last process, reason it died) for evicted shards.
+        self._evicted: Dict[
+            int, Tuple[Optional[multiprocessing.process.BaseProcess], str]
+        ] = {}
         self._last_spans: Dict[int, List[Dict]] = {}
         self._last_metrics: Dict[int, Dict] = {}
 
@@ -322,7 +326,12 @@ class Gateway:
         self._drain_event.set()
         for shard_id in range(self.config.shards):
             self._spawn_shard(shard_id, generation=0)
-        await self._await_ready(set(self.handles))
+        try:
+            await self._await_ready(set(self.handles))
+        except ServiceError:
+            # Leave no shard process behind when the fleet cannot start.
+            await self.shutdown(drain=False, timeout_s=5.0)
+            raise
         self._monitor_task = self._loop.create_task(self._monitor())
 
     def _spawn_shard(self, shard_id: int, generation: int) -> None:
@@ -349,6 +358,20 @@ class Gateway:
     async def _await_ready(self, shard_ids: set) -> None:
         deadline = time.monotonic() + self.config.start_timeout_s
         while True:
+            for sid in sorted(shard_ids):
+                if sid in self._evicted:
+                    process, reason = self._evicted[sid]
+                    exitcode = None
+                    if process is not None:
+                        await asyncio.get_running_loop().run_in_executor(
+                            None, process.join, 1.0
+                        )
+                        exitcode = process.exitcode
+                    raise ServiceError(
+                        f"shard {sid} never became ready: evicted after "
+                        f"{self._restarts_used.get(sid, 0)} restart(s), "
+                        f"last exit code {exitcode} ({reason})"
+                    )
             missing = [
                 sid for sid in shard_ids if not self.handles[sid].ready
             ]
@@ -372,6 +395,11 @@ class Gateway:
                 msg = recv_message(handle.connection)
             except (EOFError, OSError):
                 handle.mark_dead()
+                # A shard that closed its pipe is normally exiting; let
+                # it finish so its exit code is its own, not the
+                # SIGTERM _declare_dead sends to a live process.
+                if handle.process is not None:
+                    handle.process.join(0.5)
                 self._post(self._on_shard_eof, handle)
                 return
             if isinstance(msg, HeartbeatMsg):
@@ -693,6 +721,7 @@ class Gateway:
         else:
             self.counters["shards_evicted"] += 1
             del self.handles[shard_id]
+            self._evicted[shard_id] = (handle.process, reason)
             logger.warning("shard %d evicted (restart budget spent)",
                            shard_id)
         for job in stranded:

@@ -48,8 +48,8 @@ class JobSpec:
     slices: int = 1
     timeout_s: Optional[float] = None
     seed: int = 0
-    #: Any EngineLike (spec, name, or None = shard default); normalized
-    #: to the spec's name so the frame stays a plain string payload.
+    #: Any EngineLike (Engine, name, or None = shard default); normalized
+    #: to the engine's name so the frame stays a plain string payload.
     engine: EngineLike = None
     optimize: bool = False
     opt_budget_s: Optional[float] = None

@@ -29,8 +29,8 @@ class RunRequest:
     items: int = 8
     mccs_per_tile: int = 1
     lut_inputs: int = 5
-    #: Accepts any EngineLike (spec, bare name, or None for the
-    #: default) and normalizes to the spec's name, so the frozen
+    #: Accepts any EngineLike (Engine, bare name, or None for the
+    #: default) and normalizes to the engine's name, so the frozen
     #: request stays a plain picklable string bundle.
     engine: EngineLike = None
     seed: int = 0

@@ -267,8 +267,8 @@ def add_parsers(sub: "argparse._SubParsersAction") -> None:
     submit.add_argument("--lut-inputs", type=int, default=5,
                         help="LUT width the program is mapped to")
     submit.add_argument("--engine", choices=ENGINES, default=None,
-                        help="execution engine from the EngineSpec "
-                        f"registry (default: {DEFAULT_ENGINE})")
+                        help="execution engine: the compiled plan or the "
+                        f"reference loop (default: {DEFAULT_ENGINE})")
     submit.add_argument("--optimize", action="store_true",
                         help="serve the fold-count-minimized program "
                         "(compiled once, then cached)")

@@ -50,8 +50,8 @@ class JobRequest:
     timeout_s: Optional[float] = None  # queue-wait deadline
     seed: int = 0
     dataset: Optional[Dataset] = None
-    #: Any EngineLike (spec, name, or None); normalized to the spec's
-    #: name so requests stay picklable (docs/execution.md).
+    #: Any EngineLike (Engine, name, or None); normalized to the
+    #: engine's name so requests stay picklable (docs/execution.md).
     engine: EngineLike = None
     optimize: bool = False             # fold-count-minimized program
     opt_budget_s: Optional[float] = None  # optimizer time box override

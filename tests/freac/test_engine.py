@@ -1,11 +1,11 @@
-"""specialized ≡ vectorized ≡ reference, bit for bit.
+"""specialized ≡ reference, bit for bit.
 
-Every engine in the registry (docs/execution.md) must be
+The compiled-plan engine (docs/execution.md) must be
 indistinguishable from the scalar per-item loop in *everything* the
 model exposes: outputs, stores, scratchpad contents, executor stats,
 and every access counter down to the individual sub-arrays.  These
-tests hold the engines side by side on identical hardware state and
-diff all of it — including the compiled-plan fast path.
+tests hold the two engines side by side on identical hardware state
+and diff all of it.
 """
 
 import random
@@ -20,15 +20,12 @@ from repro.circuits.library import build_pe, mapped_pe, pe_names
 from repro.errors import DeviceError
 from repro.folding import TileResources, list_schedule
 from repro.freac.compute_slice import ReconfigurableComputeSlice, SlicePartition
-from repro.freac.engine import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    BatchResult,
-    validate_engine,
-)
+from repro.freac.engine import DEFAULT_ENGINE, ENGINES, validate_engine
 from repro.freac.executor import ExecutionStats, FoldedExecutor, StreamBinding
 from repro.freac.mcc import MicroComputeCluster
+from repro.freac.specialize import BatchResult, plan_artifact
 from repro.params import SubarrayParams
+from repro.telemetry import Telemetry
 
 FAST_PES = [name for name in pe_names() if name != "AES"]
 
@@ -40,26 +37,18 @@ def make_tile(mccs, params=None):
     ]
 
 
-def make_pair(schedule, mccs, params=None):
-    """Two executors on identical fresh hardware sharing one config."""
-    reference = FoldedExecutor(schedule, make_tile(mccs, params))
-    vectorized = FoldedExecutor(
-        schedule, make_tile(mccs, params), config=reference.config
-    )
-    reference.load_configuration()
-    vectorized.load_configuration()
-    return reference, vectorized
-
-
-def make_executors(schedule, mccs, params=None):
-    """One executor per registered engine on identical fresh hardware."""
-    reference = FoldedExecutor(schedule, make_tile(mccs, params))
-    executors = {"reference": reference}
-    for engine in ENGINES:
-        if engine not in executors:
-            executors[engine] = FoldedExecutor(
-                schedule, make_tile(mccs, params), config=reference.config
-            )
+def make_executors(schedule, mccs, params=None, telemetry=None):
+    """One executor per engine on identical fresh hardware sharing one
+    config image."""
+    reference = FoldedExecutor(schedule, make_tile(mccs, params),
+                               telemetry=telemetry)
+    executors = {
+        "reference": reference,
+        "specialized": FoldedExecutor(
+            schedule, make_tile(mccs, params), config=reference.config,
+            telemetry=telemetry,
+        ),
+    }
     for executor in executors.values():
         executor.load_configuration()
     return executors
@@ -73,26 +62,29 @@ def run_all(executors, batch, **kwargs):
 
 
 def assert_all_equivalent(executors, results):
-    """Three-way diff: every engine against the reference loop."""
+    """Two-way diff: the compiled plan against the reference loop.
+
+    The counter snapshot includes ``engine_fallbacks``, which the
+    explicit reference run leaves at 0, so a plan run that silently
+    fell back fails here too."""
     reference = results["reference"]
-    expected = counters(executors["reference"])
-    for engine, result in results.items():
-        if engine == "reference":
-            continue
-        assert result.engine == engine
-        assert reference.outputs.keys() == result.outputs.keys()
-        for name in reference.outputs:
-            np.testing.assert_array_equal(
-                reference.outputs[name], result.outputs[name],
-                err_msg=f"{engine}: output {name!r}",
-            )
-        assert reference.stores.keys() == result.stores.keys()
-        for stream in reference.stores:
-            np.testing.assert_array_equal(
-                reference.stores[stream], result.stores[stream],
-                err_msg=f"{engine}: store {stream!r}",
-            )
-        assert counters(executors[engine]) == expected, engine
+    result = results["specialized"]
+    assert result.engine == "specialized"
+    assert reference.outputs.keys() == result.outputs.keys()
+    for name in reference.outputs:
+        np.testing.assert_array_equal(
+            reference.outputs[name], result.outputs[name],
+            err_msg=f"output {name!r}",
+        )
+    assert reference.stores.keys() == result.stores.keys()
+    for stream in reference.stores:
+        np.testing.assert_array_equal(
+            reference.stores[stream], result.stores[stream],
+            err_msg=f"store {stream!r}",
+        )
+    assert counters(executors["specialized"]) == counters(
+        executors["reference"]
+    )
 
 
 def counters(executor):
@@ -174,8 +166,7 @@ class TestBenchmarkEquivalence:
     )
     @settings(max_examples=12, deadline=None)
     def test_random_circuits_property(self, seed, batch):
-        """engine(batch) == [reference(item) for item in batch],
-        for every engine in the registry."""
+        """specialized(batch) == [reference(item) for item in batch]."""
         rng = random.Random(seed)
         builder = CircuitBuilder(f"rand{seed}")
         a = builder.bus_load("in")
@@ -201,22 +192,25 @@ class TestBenchmarkEquivalence:
         assert_all_equivalent(executors, results)
 
 
-class TestSegmentedEquivalence:
-    def _segmented_schedule(self):
-        builder = CircuitBuilder()
-        word = builder.bus_load("in")
-        acc = word.bits[0]
-        for bit in word.bits[1:]:
-            acc = builder.xor_(acc, bit)
-        builder.bus_store("out", builder.word_from_bits([acc]))
-        netlist = technology_map(builder.netlist, k=2).netlist
-        return list_schedule(netlist, TileResources())
+def segmented_schedule():
+    """A 32-bit XOR-reduce at k=2: long enough to need mid-run config
+    reloads on tiny (8-row) sub-arrays."""
+    builder = CircuitBuilder()
+    word = builder.bus_load("in")
+    acc = word.bits[0]
+    for bit in word.bits[1:]:
+        acc = builder.xor_(acc, bit)
+    builder.bus_store("out", builder.word_from_bits([acc]))
+    netlist = technology_map(builder.netlist, k=2).netlist
+    return list_schedule(netlist, TileResources())
 
+
+class TestSegmentedEquivalence:
     @given(batch=st.integers(min_value=1, max_value=16))
     @settings(max_examples=8, deadline=None)
     def test_config_reload_accounting_matches(self, batch):
         """Segmented schedules reload per item; charges must match."""
-        schedule = self._segmented_schedule()
+        schedule = segmented_schedule()
         tiny = SubarrayParams(size_bytes=32)  # 8 rows -> many segments
         executors = make_executors(schedule, mccs=1, params=tiny)
         reference = executors["reference"]
@@ -225,14 +219,14 @@ class TestSegmentedEquivalence:
         results = run_all(executors, batch, streams=streams)
         assert_all_equivalent(executors, results)
         # The reference engine rewinds to segment 0 for every item
-        # after the first; the batch engines charge the same.
+        # after the first; the compiled plan charges the same.
         for engine in ENGINES:
             assert (executors[engine].stats.config_reloads
                     == batch * (reference.segments - 1)), engine
 
     def test_second_batch_rewind_accounting(self):
         """Entering a batch with the last segment loaded still matches."""
-        schedule = self._segmented_schedule()
+        schedule = segmented_schedule()
         tiny = SubarrayParams(size_bytes=32)
         executors = make_executors(schedule, mccs=1, params=tiny)
         for batch in (3, 2):  # second batch starts at segment != 0
@@ -284,7 +278,7 @@ class TestScratchpadEquivalence:
         for engine in ENGINES:
             assert results[engine] == results["reference"], engine
 
-    @pytest.mark.parametrize("engine", ("vectorized", "specialized"))
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_explicit_item_indices_address_the_scratchpad(self, engine):
         """Global item numbers, not lane positions, pick the region."""
         executor, pad = self._scratchpad_executor()
@@ -311,7 +305,7 @@ class TestFallbacks:
         netlist = technology_map(builder.netlist, k=5).netlist
         return list_schedule(netlist, TileResources())
 
-    @pytest.mark.parametrize("engine", ("vectorized", "specialized"))
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_sequential_netlist_falls_back_to_reference(self, engine):
         executor = FoldedExecutor(self._sequential_schedule(), make_tile(1))
         executor.load_configuration()
@@ -328,11 +322,21 @@ class TestFallbacks:
         assert executor.stats.engine_fallbacks == 0
         executor.run_batch(2, streams=streams, engine="specialized")
         assert executor.stats.engine_fallbacks == 1
-        executor.run_batch(2, streams=streams, engine="vectorized")
+        executor.run_batch(2, streams=streams)  # the default engine
         assert executor.stats.engine_fallbacks == 2
         executor.run_batch(2, streams=streams, engine="reference")
         assert executor.stats.engine_fallbacks == 2  # explicit, not a fall
         assert executor.stats.as_dict()["engine_fallbacks"] == 2
+
+    def test_ragged_streams_fall_back_to_reference(self):
+        schedule = list_schedule(mapped_pe("VADD"), TileResources())
+        executor = FoldedExecutor(schedule, make_tile(1))
+        executor.load_configuration()
+        streams = {"a": [[1], [2, 9]], "b": [[3], [4, 9]]}
+        result = executor.run_batch(2, streams=streams, engine="specialized")
+        assert result.engine == "reference"
+        assert executor.stats.engine_fallbacks == 1
+        assert [int(w) for w in result.stores["c"][:, 0]] == [4, 6]
 
     def test_supported_specialized_run_counts_no_fallback(self):
         schedule = list_schedule(mapped_pe("VADD"), TileResources())
@@ -345,7 +349,7 @@ class TestFallbacks:
         assert result.engine == "specialized"
         assert executor.stats.engine_fallbacks == 0
 
-    @pytest.mark.parametrize("engine", ("vectorized", "specialized"))
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_trace_collection_falls_back_to_reference(self, engine):
         schedule = list_schedule(mapped_pe("VADD"), TileResources())
         executor = FoldedExecutor(schedule, make_tile(1))
@@ -361,11 +365,11 @@ class TestFallbacks:
         schedule = list_schedule(mapped_pe("VADD"), TileResources())
         executor = FoldedExecutor(schedule, make_tile(1))
         executor.load_configuration()
-        result = executor.run_batch(0, engine="vectorized")
+        result = executor.run_batch(0, engine="specialized")
         assert result.items == 0
         assert executor.stats.invocations == 0
 
-    def test_vectorized_requires_configuration(self):
+    def test_run_batch_requires_configuration(self):
         schedule = list_schedule(mapped_pe("VADD"), TileResources())
         executor = FoldedExecutor(schedule, make_tile(1))
         with pytest.raises(DeviceError):
@@ -417,7 +421,7 @@ class TestExecutionStatsDict:
         assert second["cycles"] == 5
         assert second is not snapshot
 
-    def test_as_dict_json_serialisable_after_vectorized_run(self):
+    def test_as_dict_json_serialisable_after_batch_run(self):
         import json
 
         schedule = list_schedule(mapped_pe("VADD"), TileResources())
@@ -429,18 +433,112 @@ class TestExecutionStatsDict:
 
     def test_engines_share_no_mutable_state(self):
         schedule = list_schedule(mapped_pe("VADD"), TileResources())
-        reference, vectorized = make_pair(schedule, mccs=1)
+        executors = make_executors(schedule, mccs=1)
+        reference, specialized = executors["reference"], executors["specialized"]
         streams = {"a": [[1], [2]], "b": [[3], [4]]}
         reference.run_batch(2, streams=streams, engine="reference")
-        before = vectorized.stats.as_dict()
+        before = specialized.stats.as_dict()
         assert before["invocations"] == 0
-        vectorized.run_batch(2, streams=streams, engine="vectorized")
+        specialized.run_batch(2, streams=streams, engine="specialized")
         assert before["invocations"] == 0  # old snapshot untouched
-        assert vectorized.stats.as_dict() == reference.stats.as_dict()
+        assert specialized.stats.as_dict() == reference.stats.as_dict()
 
 
 class TestBatchResultType:
     def test_default_construction(self):
-        empty = BatchResult(items=0, engine="vectorized")
+        empty = BatchResult(items=0, engine="specialized")
         assert empty.outputs == {} and empty.stores == {}
         assert empty.traces == []
+
+
+class TestTelemetryEvents:
+    def test_plan_emits_one_fold_step_per_cycle(self):
+        """The plan emits the reference loop's per-cycle events once for
+        the whole batch, with the same op counts and an ``items``
+        attribute, on the same device-cycle timeline."""
+        schedule = segmented_schedule()
+        tiny = SubarrayParams(size_bytes=32)
+        telemetry = {engine: Telemetry() for engine in ENGINES}
+        executors = {
+            engine: FoldedExecutor(schedule, make_tile(1, tiny),
+                                   telemetry=telemetry[engine])
+            for engine in ENGINES
+        }
+        batch = 3
+        streams = {"in": [[0b1011 + i] for i in range(batch)]}
+        for engine, executor in executors.items():
+            executor.load_configuration()
+            executor.run_batch(batch, streams=streams, engine=engine)
+
+        def events(engine, name):
+            return [e for e in telemetry[engine].tracer.cycle_events
+                    if e.name == name]
+
+        steps = events("specialized", "fold_step")
+        assert len(steps) == schedule.compute_cycles
+        assert all(e.attrs["items"] == batch for e in steps)
+        first_item = events("reference", "fold_step")[:len(steps)]
+        assert [(e.cycle, e.attrs["ops"]) for e in steps] == [
+            (e.cycle, e.attrs["ops"]) for e in first_item
+        ]
+        reconfigs = events("specialized", "reconfig")
+        assert [e.attrs["segment"] for e in reconfigs] == list(
+            range(1, executors["specialized"].segments)
+        )
+        for name in ("freac.invocations", "freac.folding_steps",
+                     "freac.rows_read", "freac.config_words_written",
+                     "freac.reconfig_events", "freac.stall_cycles"):
+            assert (telemetry["specialized"].metrics.counter(name).total
+                    == telemetry["reference"].metrics.counter(name).total
+                    ), name
+
+    def test_telemetry_off_run_emits_nothing(self):
+        """With telemetry disabled the plan path makes no telemetry call
+        at all: no cycle events, no counters."""
+
+        class Recording(Telemetry):
+            enabled = False
+
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def counter(self, name, help=""):
+                self.calls.append(("counter", name))
+                return super().counter(name, help)
+
+            def cycle_event(self, name, cycle, track="", **attrs):
+                self.calls.append(("cycle_event", name))
+
+        telemetry = Recording()
+        executor = FoldedExecutor(
+            segmented_schedule(), make_tile(1, SubarrayParams(size_bytes=32)),
+            telemetry=telemetry,
+        )
+        executor.load_configuration()
+        result = executor.run_batch(4, streams={"in": [[i] for i in range(4)]})
+        assert result.engine == "specialized"
+        assert telemetry.calls == []
+        assert telemetry.tracer.cycle_events == []
+
+
+class TestNoFallbacksOnMachSuite:
+    @pytest.mark.parametrize("name", FAST_PES)
+    def test_heuristic_schedule_runs_on_the_plan(self, name):
+        pe = build_pe(name)
+        schedule = list_schedule(mapped_pe(name), TileResources(mccs=2))
+        executor = FoldedExecutor(schedule, make_tile(2))
+        executor.load_configuration()
+        if name == "KMP":
+            streams = {"state": [[2]] * 4, "text": [[0x41 + i] for i in range(4)]}
+        else:
+            streams = random_streams(pe, 4, random.Random(0))
+        result = executor.run_batch(4, streams=streams)
+        assert result.engine == "specialized"
+        assert executor.stats.engine_fallbacks == 0
+
+    def test_aes_compiles_to_a_plan(self):
+        """AES is too slow to execute in tier-1; a supported plan is what
+        keeps it off the fallback path."""
+        schedule = list_schedule(mapped_pe("AES"), TileResources(mccs=2))
+        assert plan_artifact(schedule)["supported"] is True

@@ -196,7 +196,7 @@ class TestExecution:
             with pytest.raises(DeviceError):
                 session.fill(0, [1], slice_index=1)
 
-    @pytest.mark.parametrize("engine", ("vectorized", "reference"))
+    @pytest.mark.parametrize("engine", ("specialized", "reference"))
     def test_execute_dataset_end_to_end(self, engine):
         device = small_device()
         dataset = dataset_for("VADD", items=6)
@@ -211,7 +211,7 @@ class TestExecution:
 
     def test_engines_agree_on_device_counters(self):
         results = {}
-        for engine in ("reference", "vectorized"):
+        for engine in ("reference", "specialized"):
             device = small_device()
             dataset = dataset_for("DOT", items=5, seed=7)
             with ExecutionSession(device, SlicePartition(4, 2),
@@ -223,21 +223,22 @@ class TestExecution:
                 totals, mismatched = session.execute(dataset, layout)
             assert mismatched == []
             results[engine] = totals
-        assert results["vectorized"] == results["reference"]
+        assert results["specialized"] == results["reference"]
 
 
 class TestEngineResolution:
-    """The session resolves its engine once, to an EngineSpec."""
+    """The session resolves its engine once, to an Engine."""
 
     def test_engine_normalizes_to_spec(self):
-        from repro.freac.engine import EngineSpec, resolve_engine
+        from repro.freac.engine import DEFAULT_ENGINE, Engine, resolve_engine
 
         device = small_device()
         session = ExecutionSession(device, engine="reference")
-        assert isinstance(session.engine, EngineSpec)
-        assert session.engine.name == "reference"
+        assert session.engine is Engine.reference
+        assert session.engine == "reference"
         default = ExecutionSession(device)
         assert default.engine is resolve_engine(None)
+        assert default.engine.name == DEFAULT_ENGINE == "specialized"
 
     def test_unknown_engine_rejected_at_construction(self):
         with pytest.raises(DeviceError, match="unknown execution engine"):

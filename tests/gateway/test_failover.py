@@ -6,8 +6,12 @@ reroute or terminally resolves once its reroute budget is spent.
 """
 
 import asyncio
+import multiprocessing
 
-from repro.gateway import GatewayClient, GatewayConfig, ShardConfig
+import pytest
+
+from repro.errors import ServiceError
+from repro.gateway import Gateway, GatewayClient, GatewayConfig, ShardConfig
 from repro.service.elastic import ElasticConfig
 from repro.service.jobs import JobState
 
@@ -147,3 +151,29 @@ class TestShardKill:
         assert all(r.state is JobState.DONE for r in results)
         assert counters["shards_evicted"] == 1
         assert fleet.live_shards == 1
+
+
+class TestStartupFailure:
+    def test_shard_that_cannot_start_raises_service_error(self):
+        """A shard whose service cannot be built (no devices) exits at
+        startup, crash-loops through its restart budget and is evicted
+        before it is ever ready.  Startup must fail with a ServiceError
+        naming the shard, its exit code and the reason, and leave no
+        shard process running."""
+        config = GatewayConfig(
+            shards=1, shard=ShardConfig(devices=0),
+            max_shard_restarts=1, seed=0,
+        )
+        gateway = Gateway(config)
+        with pytest.raises(
+            ServiceError,
+            match=r"shard 0 never became ready: evicted after 1 "
+                  r"restart\(s\), last exit code 1 \(pipe EOF\)",
+        ):
+            run(gateway.start())
+        assert gateway.counters["shards_evicted"] == 1
+        assert not gateway.handles
+        assert not [
+            process for process in multiprocessing.active_children()
+            if process.name.startswith("freac-shard")
+        ]

@@ -83,10 +83,12 @@ class TestBitExactParity:
         baseline = executor_for(heuristic).run_batch(
             batch, streams=streams, engine="reference"
         )
-        for engine in ("reference", "vectorized"):
-            result = executor_for(outcome.schedule).run_batch(
-                batch, streams=streams, engine=engine
-            )
+        snapshots = {}
+        for engine in ("reference", "specialized"):
+            executor = executor_for(outcome.schedule)
+            result = executor.run_batch(batch, streams=streams, engine=engine)
+            assert result.engine == engine  # no fallback on the plan
+            snapshots[engine] = executor.stats.as_dict()
             assert result.stores.keys() == baseline.stores.keys()
             for stream in baseline.stores:
                 np.testing.assert_array_equal(
@@ -97,6 +99,7 @@ class TestBitExactParity:
                 np.testing.assert_array_equal(
                     result.outputs[out], baseline.outputs[out]
                 )
+        assert snapshots["specialized"] == snapshots["reference"]
 
 
 class TestFoldCountContract:

@@ -6,6 +6,7 @@ import dataclasses
 import pytest
 
 from repro.errors import DeviceError, RequestError
+from repro.freac.engine import DEFAULT_ENGINE
 from repro.request import RunRequest
 
 
@@ -18,7 +19,7 @@ class TestValidation:
         request = RunRequest("vadd")
         assert request.benchmark == "VADD"  # canonicalised to upper
         assert request.items == 8
-        assert request.engine == "vectorized"
+        assert request.engine == DEFAULT_ENGINE
         assert request.preflight and not request.telemetry
 
     def test_frozen(self):
@@ -55,13 +56,13 @@ class TestFromArgs:
     def test_missing_attributes_keep_defaults(self):
         request = RunRequest.from_args(namespace(benchmark="DOT"))
         assert request.items == 8 and request.slices == 1
-        assert request.engine == "vectorized"
+        assert request.engine == DEFAULT_ENGINE
 
     def test_none_attributes_keep_defaults(self):
         # argparse emits None for unset optionals (e.g. --engine).
         args = namespace(benchmark="DOT", engine=None, items=None)
         request = RunRequest.from_args(args)
-        assert request.engine == "vectorized" and request.items == 8
+        assert request.engine == DEFAULT_ENGINE and request.items == 8
 
     def test_tile_beats_mccs_per_tile(self):
         # `freac submit --tile` and programmatic callers both feed the
